@@ -38,11 +38,12 @@ pub struct PlacerConfig {
     /// Independent parallel MCTS runs (1 = the paper's single search;
     /// more runs diversify priors per worker and keep the best result).
     pub ensemble_runs: usize,
-    /// Worker count of the deterministic compute pool shared by batched
+    /// Worker count of the deterministic compute pool shared by RL
+    /// training (rollout windows and the A2C update passes), batched
     /// inference, the ensemble fan-out, the CG solver and the density
     /// spreader. Always explicit — never derived from the machine — and
-    /// bitwise-neutral: any value produces the same placement. `1` (the
-    /// default) runs everything inline.
+    /// bitwise-neutral: any value produces the same placement and the
+    /// same trained agent. `1` (the default) runs everything inline.
     #[serde(default = "default_workers")]
     pub workers: usize,
     /// Final cell-placement effort.
@@ -338,8 +339,9 @@ impl MacroPlacer {
         };
         let t0 = budget::now();
         let span = self.obs.span("stage.preprocess");
-        let trainer =
-            Trainer::try_new(design, self.config.trainer.clone())?.with_obs(self.obs.clone());
+        let trainer = Trainer::try_new(design, self.config.trainer.clone())?
+            .with_obs(self.obs.clone())
+            .with_pool(pool);
         drop(span);
         let preprocess = t0.elapsed();
 

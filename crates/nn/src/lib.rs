@@ -49,6 +49,9 @@ pub use infer::{InferenceCtx, KernelKind};
 pub use layer::{Layer, Param};
 pub use linear::Linear;
 pub use matmul::matmul;
+/// The deterministic pool the pooled training passes and batched
+/// inference run on (re-exported so callers need no direct dependency).
+pub use mmp_pool::ThreadPool;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use sequential::Sequential;
 pub use tensor::Tensor;

@@ -29,9 +29,10 @@
 //! ([`ThreadPool::run`]) or reports it as a typed
 //! [`PoolError::WorkerPanicked`] ([`ThreadPool::try_run`]).
 //!
-//! A `workers == 1` pool executes inline on the caller's thread (no spawn),
-//! which is the default everywhere — parallelism is strictly opt-in via
-//! config.
+//! Worker 0 of every region runs on the caller's thread; only workers
+//! 1.. are spawned. A `workers == 1` pool therefore executes inline (no
+//! spawn), which is the default everywhere — parallelism is strictly
+//! opt-in via config.
 
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -174,36 +175,32 @@ impl ThreadPool {
             scratch.len()
         );
         let fault = self.fault_panic_worker;
-        if w == 1 {
-            let s0 = &mut scratch[0];
-            return catch_unwind(AssertUnwindSafe(move || {
-                if fault == Some(0) {
-                    panic!("mmp-pool injected fault: worker 0");
-                }
-                (0..tasks).map(|i| f(i, s0)).collect::<Vec<T>>()
-            }))
-            .map_err(|p| (0, p));
-        }
         let chunk = tasks.div_ceil(w);
+        let f = &f;
+        let work = move |wid: usize, sw: &mut S| {
+            catch_unwind(AssertUnwindSafe(move || {
+                if fault == Some(wid) {
+                    panic!("mmp-pool injected fault: worker {wid}");
+                }
+                let lo = (wid * chunk).min(tasks);
+                let hi = ((wid + 1) * chunk).min(tasks);
+                (lo..hi).map(|i| f(i, sw)).collect::<Vec<T>>()
+            }))
+        };
         let mut outs: Vec<Result<Vec<T>, Payload>> = Vec::with_capacity(w);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = scratch[..w]
-                .iter_mut()
-                .enumerate()
+            let mut slots = scratch[..w].iter_mut().enumerate();
+            let caller = slots.next();
+            let handles: Vec<_> = slots
                 .map(|(wid, sw)| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(move || {
-                            if fault == Some(wid) {
-                                panic!("mmp-pool injected fault: worker {wid}");
-                            }
-                            let lo = (wid * chunk).min(tasks);
-                            let hi = ((wid + 1) * chunk).min(tasks);
-                            (lo..hi).map(|i| f(i, sw)).collect::<Vec<T>>()
-                        }))
-                    })
+                    let work = &work;
+                    scope.spawn(move || work(wid, sw))
                 })
                 .collect();
+            // Worker 0 runs on the calling thread, which would otherwise
+            // sit in the join: one spawn fewer per region, and its
+            // allocations stay in the caller's malloc arena.
+            outs.extend(caller.map(|(wid, sw)| work(wid, sw)));
             // A worker body is fully wrapped in catch_unwind, so join can
             // only fail with that same payload; fold both failure shapes
             // into one.
@@ -293,50 +290,56 @@ impl ThreadPool {
         T: Send,
         F: Fn(usize, &mut [T]) + Sync,
     {
+        self.for_each_chunk_mut_with_scratch(
+            data,
+            chunk,
+            &mut vec![(); self.workers],
+            |o, sl, ()| f(o, sl),
+        );
+    }
+
+    /// [`ThreadPool::for_each_chunk_mut`] with one exclusive scratch slot
+    /// per worker: every chunk a worker owns receives that worker's
+    /// `&mut scratch[w]` (im2col columns, per-sample workspaces). `scratch`
+    /// must have at least [`ThreadPool::workers`] slots.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a task panic; panics if `chunk == 0` or `scratch` is too
+    /// short.
+    pub fn for_each_chunk_mut_with_scratch<T, S, F>(
+        &self,
+        data: &mut [T],
+        chunk: usize,
+        scratch: &mut [S],
+        f: F,
+    ) where
+        T: Send,
+        S: Send,
+        F: Fn(usize, &mut [T], &mut S) + Sync,
+    {
         assert!(chunk > 0, "chunk must be positive");
         if data.is_empty() {
             return;
         }
         let nchunks = data.len().div_ceil(chunk);
         let w = self.workers.min(nchunks);
-        let fault = self.fault_panic_worker;
-        if w == 1 {
-            if fault == Some(0) {
-                panic!("mmp-pool injected fault: worker 0");
-            }
-            for (ci, sl) in data.chunks_mut(chunk).enumerate() {
-                f(ci * chunk, sl);
-            }
-            return;
-        }
-        // Worker `w` owns the contiguous span of chunks [w·cpw, (w+1)·cpw).
+        assert!(
+            scratch.len() >= w,
+            "scratch must cover every live worker ({} < {w})",
+            scratch.len()
+        );
+        // Worker `w` owns the contiguous span of chunks [w·cpw, (w+1)·cpw):
+        // one task per worker, its data span riding in its scratch slot.
         let span = nchunks.div_ceil(w) * chunk;
-        let mut panics: Vec<(usize, Payload)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = data
-                .chunks_mut(span)
-                .enumerate()
-                .map(|(wid, super_slice)| {
-                    let f = &f;
-                    scope.spawn(move || {
-                        catch_unwind(AssertUnwindSafe(move || {
-                            if fault == Some(wid) {
-                                panic!("mmp-pool injected fault: worker {wid}");
-                            }
-                            for (ci, sl) in super_slice.chunks_mut(chunk).enumerate() {
-                                f(wid * span + ci * chunk, sl);
-                            }
-                        }))
-                    })
-                })
-                .collect();
-            for (wid, h) in handles.into_iter().enumerate() {
-                if let Err(payload) = h.join().unwrap_or_else(Err) {
-                    panics.push((wid, payload));
-                }
+        let mut spans: Vec<(&mut [T], &mut S)> =
+            data.chunks_mut(span).zip(scratch.iter_mut()).collect();
+        let ran = self.raw_run(spans.len(), &mut spans, |wid, (super_slice, sw)| {
+            for (ci, sl) in super_slice.chunks_mut(chunk).enumerate() {
+                f(wid * span + ci * chunk, sl, sw);
             }
         });
-        if let Some((_, payload)) = panics.into_iter().next() {
+        if let Err((_, payload)) = ran {
             resume_unwind(payload);
         }
     }
@@ -610,6 +613,33 @@ mod tests {
             })
         }));
         assert!(caught.is_err());
+    }
+
+    #[test]
+    fn chunk_scratch_is_per_worker_and_results_are_worker_count_invariant() {
+        let base: Vec<f32> = lcg_data(43, 300);
+        let apply = |w: usize| {
+            let pool = ThreadPool::try_new(w).unwrap();
+            let mut data = base.clone();
+            let mut visits = vec![0usize; w];
+            pool.for_each_chunk_mut_with_scratch(&mut data, 20, &mut visits, |off, sl, n| {
+                *n += 1;
+                for (j, v) in sl.iter_mut().enumerate() {
+                    *v = *v * 0.5 - (off + j) as f32;
+                }
+            });
+            (data, visits)
+        };
+        let (want, one) = apply(1);
+        assert_eq!(one, vec![15]);
+        for w in [2, 4] {
+            let (got, visits) = apply(w);
+            assert_eq!(visits.iter().sum::<usize>(), 15, "every chunk once");
+            assert!(visits.iter().all(|&n| n > 0), "w={w}: {visits:?}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "w={w}");
+            }
+        }
     }
 
     #[test]

@@ -67,7 +67,9 @@ impl Agent {
     /// Samples an action from π_θ.
     ///
     /// Falls back to the most-available cell when the distribution is
-    /// degenerate (all cells masked).
+    /// degenerate (all cells masked). Every call consumes exactly one
+    /// uniform draw from `rng`, the fallback included, so an episode of L
+    /// steps advances the stream by exactly L draws.
     pub fn sample_action<R: Rng>(
         &self,
         state: &State,
@@ -106,13 +108,15 @@ impl Agent {
 }
 
 /// Samples an index from an (unnormalised is fine) non-negative weight
-/// vector; `None` when all weights vanish.
+/// vector; `None` when all weights vanish. Consumes exactly one uniform
+/// draw either way.
 pub(crate) fn sample_from<R: Rng>(weights: &[f32], rng: &mut R) -> Option<usize> {
+    let u: f32 = rng.gen();
     let total: f32 = weights.iter().filter(|w| w.is_finite()).sum();
     if total.is_nan() || total <= 0.0 {
         return None;
     }
-    let mut ticket = rng.gen::<f32>() * total;
+    let mut ticket = u * total;
     for (i, &w) in weights.iter().enumerate() {
         if !w.is_finite() {
             continue;
@@ -190,6 +194,39 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(2);
         let act = a.sample_action(&s, &mut rng, &mut ctx);
         assert!(act < 16);
+    }
+
+    #[test]
+    fn degenerate_distributions_consume_exactly_one_draw() {
+        let mut ctx = InferenceCtx::new();
+        let mut masked = state(16);
+        masked.s_a = vec![0.0; 16];
+        // NaN weights make π_θ all-NaN on any state.
+        let mut poisoned = tiny_agent();
+        poisoned
+            .net_mut()
+            .visit_params(&mut |p| p.value.as_mut_slice().fill(f32::NAN));
+        for (agent, s) in [(tiny_agent(), masked), (poisoned, state(16))] {
+            let mut rng = SmallRng::seed_from_u64(5);
+            let mut want = rng.clone();
+            let _: f32 = want.gen();
+            let act = agent.sample_action(&s, &mut rng, &mut ctx);
+            assert!(act < 16);
+            assert_eq!(rng, want);
+        }
+        for weights in [[f32::NAN, f32::NAN], [0.0, 0.0], [f32::INFINITY, 0.0]] {
+            let mut rng = SmallRng::seed_from_u64(6);
+            let mut want = rng.clone();
+            let _: f32 = want.gen();
+            assert_eq!(sample_from(&weights, &mut rng), None, "{weights:?}");
+            assert_eq!(rng, want, "{weights:?}");
+        }
+        // A healthy distribution draws once too.
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut want = rng.clone();
+        let _: f32 = want.gen();
+        assert!(sample_from(&[0.5, 0.5], &mut rng).is_some());
+        assert_eq!(rng, want);
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! [`PolicyValueNet::backward_batch`]) keeps the `&mut self` tape
 //! discipline and processes whole transition minibatches per pass.
 
-use mmp_nn::{softmax, BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Param, Relu, Tensor};
+use mmp_nn::{
+    softmax, BatchNorm2d, Conv2d, InferenceCtx, Layer, Linear, Param, Relu, Tensor, ThreadPool,
+};
 use serde::{Deserialize, Serialize};
 
 /// Network size parameters.
@@ -88,14 +90,14 @@ impl ResBlock {
         }
     }
 
-    fn forward(&mut self, x: &Tensor, train: bool) -> Tensor {
-        let mut h = self.conv_a.forward(x, train);
-        h = self.bn_a.forward(&h, train);
-        h = self.relu_a.forward(&h, train);
-        h = self.conv_b.forward(&h, train);
-        h = self.bn_b.forward(&h, train);
+    fn forward_train(&mut self, x: &Tensor, exec: &ThreadPool) -> Tensor {
+        let mut h = self.conv_a.forward_pooled(x, exec);
+        h = self.bn_a.forward(&h, true);
+        h = self.relu_a.forward(&h, true);
+        h = self.conv_b.forward_pooled(&h, exec);
+        h = self.bn_b.forward(&h, true);
         h.add_assign(x);
-        self.relu_out.forward(&h, train)
+        self.relu_out.forward(&h, true)
     }
 
     fn infer(&self, x: &Tensor, ctx: &mut InferenceCtx) -> Tensor {
@@ -392,12 +394,28 @@ impl PolicyValueNet {
     /// Training-mode forward over a minibatch of transitions: batch-norm
     /// uses minibatch statistics (updating running stats once), and the
     /// tape caches the whole batch for one
-    /// [`PolicyValueNet::backward_batch`] call.
+    /// [`PolicyValueNet::backward_batch`] call. Runs inline; see
+    /// [`PolicyValueNet::forward_train_batch_pooled`].
     ///
     /// # Panics
     ///
     /// Panics on an empty batch or mismatched map lengths.
     pub fn forward_train_batch(&mut self, states: &[StateRef<'_>]) -> Vec<NetOutput> {
+        self.forward_train_batch_pooled(states, &ThreadPool::single())
+    }
+
+    /// [`PolicyValueNet::forward_train_batch`] with the conv layers'
+    /// per-sample work split over `exec`; bitwise identical at every
+    /// worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty batch or mismatched map lengths.
+    pub fn forward_train_batch_pooled(
+        &mut self,
+        states: &[StateRef<'_>],
+        exec: &ThreadPool,
+    ) -> Vec<NetOutput> {
         assert!(!states.is_empty(), "training batch must be non-empty");
         let z = self.config.zeta;
         let z2 = z * z;
@@ -410,16 +428,16 @@ impl PolicyValueNet {
         for (s, st) in states.iter().enumerate() {
             input.as_mut_slice()[s * z2..(s + 1) * z2].copy_from_slice(st.s_p);
         }
-        let mut h = self.conv1.forward(&input, true);
+        let mut h = self.conv1.forward_pooled(&input, exec);
         h = self.bn1.forward(&h, true);
         h = self.relu1.forward(&h, true);
         for b in &mut self.blocks {
-            h = b.forward(&h, true);
+            h = b.forward_train(&h, exec);
         }
         let tower_out = h;
 
         // --- policy head ---------------------------------------------
-        let mut p = self.conv_p.forward(&tower_out, true);
+        let mut p = self.conv_p.forward_pooled(&tower_out, exec);
         p = self.bn_p.forward(&p, true);
         p = self.relu_p.forward(&p, true);
         let p_flat = p.reshaped(&[n, 2 * z2]);
@@ -454,7 +472,7 @@ impl PolicyValueNet {
                 *vslot = embed;
             }
         }
-        let mut v = self.conv_v.forward(&v_in, true);
+        let mut v = self.conv_v.forward_pooled(&v_in, exec);
         v = self.bn_v.forward(&v, true);
         v = self.relu_v.forward(&v, true);
         let v_flat = v.reshaped(&[n, z2]);
@@ -505,12 +523,31 @@ impl PolicyValueNet {
     /// Backpropagates the summed A2C losses of a whole minibatch in one
     /// pass, matching the preceding [`PolicyValueNet::forward_train_batch`]
     /// call. `targets[s]` is the `(action, reward)` pair of sample `s`.
+    /// Runs inline; see [`PolicyValueNet::backward_batch_pooled`].
     ///
     /// # Panics
     ///
     /// Panics without a preceding training-mode forward or when
     /// `targets.len()` differs from the cached batch size.
     pub fn backward_batch(&mut self, targets: &[(usize, f32)], beta: f32) {
+        self.backward_batch_pooled(targets, beta, &ThreadPool::single());
+    }
+
+    /// [`PolicyValueNet::backward_batch`] with the conv layers' per-sample
+    /// work split over `exec`. Per-sample weight-gradient partials are
+    /// folded in ascending sample order, so the accumulated gradients are
+    /// bitwise identical at every worker count.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding training-mode forward or when
+    /// `targets.len()` differs from the cached batch size.
+    pub fn backward_batch_pooled(
+        &mut self,
+        targets: &[(usize, f32)],
+        beta: f32,
+        exec: &ThreadPool,
+    ) {
         // why: documented panic: callers must pair backward with a training
         // forward; see the `# Panics` section.
         #[allow(clippy::expect_used)]
@@ -553,7 +590,7 @@ impl PolicyValueNet {
         let g = g.reshaped(&[n, 2, z, z]);
         let g = self.relu_p.backward(&g);
         let g = self.bn_p.backward(&g);
-        let mut tower_grad = self.conv_p.backward(&g);
+        let mut tower_grad = self.conv_p.backward_pooled(&g, exec);
 
         // --- value head gradient ---------------------------------------
         // d(R − v)²/dv = −2(R − v) = −2A.
@@ -570,7 +607,7 @@ impl PolicyValueNet {
         let g = g.reshaped(&[n, 1, z, z]);
         let g = self.relu_v.backward(&g);
         let g = self.bn_v.backward(&g);
-        let g = self.conv_v.backward(&g);
+        let g = self.conv_v.backward_pooled(&g, exec);
         // Route only the tower channels of the concat input back.
         let mut v_tower_grad = Tensor::zeros(&[n, f, z, z]);
         for s in 0..n {
@@ -584,11 +621,11 @@ impl PolicyValueNet {
         // --- trunk -------------------------------------------------------
         let mut g = tower_grad;
         for b in self.blocks.iter_mut().rev() {
-            g = b.backward(&g);
+            g = b.backward(&g, exec);
         }
         let g = self.relu1.backward(&g);
         let g = self.bn1.backward(&g);
-        let _ = self.conv1.backward(&g);
+        let _ = self.conv1.backward_pooled(&g, exec);
     }
 
     /// Visits every trainable parameter (optimizer + checkpoint hook).
@@ -615,13 +652,13 @@ impl PolicyValueNet {
 }
 
 impl ResBlock {
-    fn backward(&mut self, grad: &Tensor) -> Tensor {
+    fn backward(&mut self, grad: &Tensor, exec: &ThreadPool) -> Tensor {
         let g = self.relu_out.backward(grad);
         let mut gx = self.bn_b.backward(&g);
-        gx = self.conv_b.backward(&gx);
+        gx = self.conv_b.backward_pooled(&gx, exec);
         gx = self.relu_a.backward(&gx);
         gx = self.bn_a.backward(&gx);
-        let mut gi = self.conv_a.backward(&gx);
+        let mut gi = self.conv_a.backward_pooled(&gx, exec);
         gi.add_assign(&g); // skip path
         gi
     }

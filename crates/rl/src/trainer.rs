@@ -6,6 +6,11 @@
 //! `update_every` (paper: 30) episodes the buffered transitions are replayed
 //! through the network and one optimizer step minimises
 //! L = L_policy + L_value (Eq. 8).
+//!
+//! The episodes between two optimizer steps share frozen weights, so with
+//! [`Trainer::with_pool`] each such window is played in parallel and
+//! committed in episode order; the result is bitwise identical to the
+//! inline run at any worker count.
 
 use crate::agent::Agent;
 use crate::env::PlacementEnv;
@@ -17,10 +22,10 @@ use mmp_ckpt::CkptError;
 use mmp_cluster::{ClusterError, ClusterParams, CoarsenedNetlist, Coarsener};
 use mmp_geom::Grid;
 use mmp_netlist::{Design, Placement};
-use mmp_nn::{Adam, InferenceCtx, Optimizer};
+use mmp_nn::{Adam, InferenceCtx, Optimizer, ThreadPool};
 use mmp_obs::{field, Obs};
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -221,6 +226,34 @@ pub struct TrainCheckpoint {
 /// error aborts training as [`TrainError::Checkpoint`].
 pub type TrainCheckpointSink<'a> = &'a mut dyn FnMut(&TrainCheckpoint) -> Result<(), CkptError>;
 
+/// One played episode as a rollout worker hands it back: the sampled
+/// actions and the episode's score. The caller rebuilds the observed
+/// states by replaying the actions, so a window of rollouts in flight
+/// holds no state maps.
+struct Rollout {
+    actions: Vec<usize>,
+    wirelength: f64,
+}
+
+/// Who picks a rollout's actions. Either way every step consumes exactly
+/// one uniform draw, which is what lets a window's episode k start from
+/// the window's RNG advanced by k·L draws.
+#[derive(Clone, Copy)]
+enum Policy<'a> {
+    /// Availability-weighted random actions (the calibration warm-up).
+    Random,
+    /// Actions sampled from π_θ.
+    Agent(&'a Agent),
+}
+
+/// Advances `rng` past `draws` uniform draws — the consumption of
+/// `draws` sampled actions.
+fn skip_draws(rng: &mut SmallRng, draws: usize) {
+    for _ in 0..draws {
+        let _: f32 = rng.gen();
+    }
+}
+
 /// Everything `train` produces.
 #[derive(Debug, Clone)]
 pub struct TrainingOutcome {
@@ -256,6 +289,7 @@ pub struct Trainer<'d> {
     config: TrainerConfig,
     evaluator: Eval,
     obs: Obs,
+    pool: ThreadPool,
 }
 
 impl<'d> Trainer<'d> {
@@ -311,6 +345,7 @@ impl<'d> Trainer<'d> {
             config,
             evaluator,
             obs: Obs::off(),
+            pool: ThreadPool::single(),
         })
     }
 
@@ -323,6 +358,21 @@ impl<'d> Trainer<'d> {
     #[must_use]
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
+        self
+    }
+
+    /// Runs training on `pool` instead of inline.
+    ///
+    /// The episodes between two optimizer steps share frozen weights, so
+    /// each such window (and the calibration warm-up) is played over the
+    /// pool's fixed partition, one environment and inference context per
+    /// worker; the A2C update passes split their conv layers' per-sample
+    /// work over the same pool. Results are committed in episode order and
+    /// gradients folded in sample order, so weights, history, RNG stream
+    /// and checkpoints are bitwise identical at every worker count.
+    #[must_use]
+    pub fn with_pool(mut self, pool: ThreadPool) -> Self {
+        self.pool = pool;
         self
     }
 
@@ -346,17 +396,54 @@ impl<'d> Trainer<'d> {
         self.evaluator.wirelength(env)
     }
 
-    /// Plays one episode with uniformly-random (availability-weighted)
-    /// actions; returns its wirelength.
-    fn random_episode(&self, env: &mut PlacementEnv<'_>, rng: &mut SmallRng) -> f64 {
+    /// Plays and scores one episode under `policy`.
+    fn play(
+        &self,
+        policy: Policy<'_>,
+        env: &mut PlacementEnv<'_>,
+        rng: &mut SmallRng,
+        ctx: &mut InferenceCtx,
+    ) -> Rollout {
         env.reset();
+        let mut actions = Vec::with_capacity(env.episode_len());
         while !env.is_terminal() {
             let s = env.state();
-            let action = crate::agent::sample_from(&s.s_a, rng)
-                .unwrap_or_else(|| (s.t * 31 + 7) % s.s_a.len());
+            let action = match policy {
+                Policy::Random => crate::agent::sample_from(&s.s_a, rng)
+                    .unwrap_or_else(|| (s.t * 31 + 7) % s.s_a.len()),
+                Policy::Agent(agent) => agent.sample_action(&s, rng, ctx),
+            };
+            actions.push(action);
             env.step(action);
         }
-        self.evaluator.wirelength(env)
+        Rollout {
+            actions,
+            wirelength: self.evaluator.wirelength(env),
+        }
+    }
+
+    /// Plays `count` episodes over the pool, episode k starting from `rng`
+    /// advanced by k·L draws (L = episode length), exactly where a serial
+    /// run would start it. Results come back in episode order; an episode
+    /// a worker reaches after `deadline` is `None`. The caller's `rng` is
+    /// not advanced.
+    fn rollouts(
+        &self,
+        policy: Policy<'_>,
+        count: usize,
+        rng: &SmallRng,
+        workers: &mut [(PlacementEnv<'_>, InferenceCtx)],
+        deadline: Option<Instant>,
+    ) -> Vec<Option<Rollout>> {
+        self.pool.run_with_scratch(count, workers, |k, (env, ctx)| {
+            // mmp-lint: allow(wallclock) why: budget-deadline probe; an expired episode is never committed
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return None;
+            }
+            let mut rng = rng.clone();
+            skip_draws(&mut rng, k * env.episode_len());
+            Some(self.play(policy, env, &mut rng, ctx))
+        })
     }
 
     /// Runs calibration + training and returns the outcome.
@@ -414,7 +501,10 @@ impl<'d> Trainer<'d> {
         mut sink: Option<TrainCheckpointSink<'_>>,
     ) -> Result<TrainingOutcome, TrainError> {
         let mut env = PlacementEnv::new(self.design, &self.coarse, self.grid.clone());
-        let mut ctx = InferenceCtx::new();
+        let len = env.episode_len();
+        let mut workers: Vec<(PlacementEnv<'_>, InferenceCtx)> = (0..self.pool.workers())
+            .map(|_| (env.clone(), InferenceCtx::new()))
+            .collect();
         let (mut rng, scale, mut agent, mut opt, mut history, mut checkpoints);
         let (mut chunk_no, mut updates_done, start_episode);
         match resume {
@@ -452,9 +542,14 @@ impl<'d> Trainer<'d> {
             None => {
                 rng = SmallRng::seed_from_u64(self.config.seed ^ 0x7e41);
                 // 1) Random warm-up → reward calibration (Sec. III-E).
-                let samples: Vec<f64> = (0..self.config.calibration_episodes.max(1))
-                    .map(|_| self.random_episode(&mut env, &mut rng))
+                let count = self.config.calibration_episodes.max(1);
+                let samples: Vec<f64> = self
+                    .rollouts(Policy::Random, count, &rng, &mut workers, None)
+                    .into_iter()
+                    .flatten()
+                    .map(|r| r.wirelength)
                     .collect();
+                skip_draws(&mut rng, count * len);
                 scale = RewardScale::try_calibrate(self.config.reward, &samples)?;
                 agent = Agent::new(self.config.net);
                 opt = Adam::new(self.config.lr);
@@ -466,28 +561,44 @@ impl<'d> Trainer<'d> {
             }
         }
 
-        // 2) A2C training.
+        // 2) A2C training, one rollout window per optimizer step.
         let mut buffer: Vec<Transition> = Vec::new();
+        let update_every = self.config.update_every.max(1);
+        let mut window = Vec::new().into_iter();
 
         for episode in start_episode..self.config.episodes {
             // mmp-lint: allow(wallclock) why: budget-deadline probe; expiry only early-stops onto last-good weights
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                history.early_stopped = true;
-                if self.obs.tracing() {
-                    self.obs
-                        .event("rl.train", "early_stop", &[field("episode", episode)]);
-                }
-                break;
+            let expired = deadline.is_some_and(|d| Instant::now() >= d);
+            if !expired && window.len() == 0 {
+                let end = ((episode / update_every + 1) * update_every).min(self.config.episodes);
+                let policy = Policy::Agent(&agent);
+                window = self
+                    .rollouts(policy, end - episode, &rng, &mut workers, deadline)
+                    .into_iter();
             }
+            // A `None` rollout is an episode its worker found past the
+            // deadline.
+            let rollout = match window.next() {
+                Some(Some(rollout)) if !expired => rollout,
+                _ => {
+                    history.early_stopped = true;
+                    if self.obs.tracing() {
+                        self.obs
+                            .event("rl.train", "early_stop", &[field("episode", episode)]);
+                    }
+                    break;
+                }
+            };
+            skip_draws(&mut rng, len);
+            // Replay the actions to rebuild the states the policy saw.
             env.reset();
-            let mut steps: Vec<StepRecord> = Vec::new();
-            while !env.is_terminal() {
+            let mut steps: Vec<StepRecord> = Vec::with_capacity(len);
+            for &action in &rollout.actions {
                 let s = env.state();
-                let action = agent.sample_action(&s, &mut rng, &mut ctx);
                 steps.push((s.s_p, s.s_a, s.t, s.total, action));
                 env.step(action);
             }
-            let w = self.evaluator.wirelength(&env);
+            let w = rollout.wirelength;
             let r = scale.reward(w);
             history.episode_wirelengths.push(w);
             history.episode_rewards.push(r);
@@ -542,8 +653,8 @@ impl<'d> Trainer<'d> {
                     // cannot corrupt the whole optimizer step.
                     let mut grad_snapshot: Vec<Vec<f32>> = Vec::new();
                     net.visit_params(&mut |p| grad_snapshot.push(p.grad.as_slice().to_vec()));
-                    let _ = net.forward_train_batch(&states);
-                    net.backward_batch(&targets, beta);
+                    let _ = net.forward_train_batch_pooled(&states, &self.pool);
+                    net.backward_batch_pooled(&targets, beta, &self.pool);
                     if self.config.fault_poison_update == Some(chunk_no) {
                         let mut done = false;
                         net.visit_params(&mut |p| {
@@ -785,6 +896,108 @@ mod tests {
             .train_resumable(None, None, Some(&mut sink))
             .unwrap();
         (out, taken)
+    }
+
+    fn json<T: Serialize>(v: &T) -> String {
+        serde_json::to_string(v).unwrap()
+    }
+
+    fn param_bits(agent: &Agent) -> Vec<u32> {
+        let mut bits = Vec::new();
+        agent
+            .clone()
+            .net_mut()
+            .visit_params(&mut |p| bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())));
+        bits
+    }
+
+    #[test]
+    fn rollout_windows_start_where_the_serial_stream_does() {
+        let d = design(16);
+        let cfg = TrainerConfig::tiny(4);
+        let agent = Agent::new(cfg.net);
+        let start = SmallRng::seed_from_u64(99);
+        for policy in [Policy::Random, Policy::Agent(&agent)] {
+            // One generator drawn through seven episodes back to back.
+            let trainer = Trainer::new(&d, cfg.clone());
+            let mut env = PlacementEnv::new(&d, trainer.coarse(), trainer.grid().clone());
+            let (mut rng, mut ctx) = (start.clone(), InferenceCtx::new());
+            let want: Vec<(Vec<usize>, u64)> = (0..7)
+                .map(|_| {
+                    let r = trainer.play(policy, &mut env, &mut rng, &mut ctx);
+                    (r.actions, r.wirelength.to_bits())
+                })
+                .collect();
+            for workers in [1, 2, 4] {
+                let trainer =
+                    Trainer::new(&d, cfg.clone()).with_pool(ThreadPool::try_new(workers).unwrap());
+                let mut scratch: Vec<_> = (0..workers)
+                    .map(|_| (env.clone(), InferenceCtx::new()))
+                    .collect();
+                let got: Vec<(Vec<usize>, u64)> = trainer
+                    .rollouts(policy, 7, &start, &mut scratch, None)
+                    .into_iter()
+                    .map(|r| {
+                        let r = r.unwrap();
+                        (r.actions, r.wirelength.to_bits())
+                    })
+                    .collect();
+                assert_eq!(got, want, "{workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn training_is_bitwise_identical_at_any_worker_count() {
+        let d = design(15);
+        let mut cfg = TrainerConfig::tiny(4);
+        // Windows of 3, 3, 3 and an uneven 2; agent snapshots land inside
+        // windows; the sink fires on every second optimizer step.
+        cfg.episodes = 11;
+        cfg.update_every = 3;
+        cfg.calibration_episodes = 3;
+        cfg.checkpoint_every = Some(2);
+        for coarse_eval in [true, false] {
+            cfg.coarse_eval = coarse_eval;
+            let run = |workers: usize| {
+                let pool = ThreadPool::try_new(workers).unwrap();
+                train_recording(&Trainer::new(&d, cfg.clone()).with_pool(pool))
+            };
+            let (want, want_cks) = run(1);
+            assert_eq!(want.history.episode_rewards.len(), 11);
+            let sink_eps: Vec<usize> = want_cks.iter().map(|ck| ck.episodes_done).collect();
+            assert_eq!(
+                sink_eps,
+                vec![6, 11],
+                "the last sink holds the final RNG state"
+            );
+            let snapshot_eps: Vec<usize> = want.checkpoints.iter().map(|(e, _)| *e).collect();
+            assert_eq!(snapshot_eps, vec![2, 4, 6, 8, 10]);
+            let mut two_worker_cks = Vec::new();
+            for workers in [2, 4] {
+                let (got, cks) = run(workers);
+                let tag = format!("coarse_eval={coarse_eval}, {workers} workers");
+                assert_eq!(got.history, want.history, "{tag}");
+                assert_eq!(param_bits(&got.agent), param_bits(&want.agent), "{tag}");
+                assert_eq!(json(&got.agent), json(&want.agent), "{tag}");
+                assert_eq!(json(&got.checkpoints), json(&want.checkpoints), "{tag}");
+                // The sink sequence, final RNG stream position included.
+                assert_eq!(cks.len(), want_cks.len(), "{tag}");
+                for (a, b) in cks.iter().zip(&want_cks) {
+                    assert_eq!(a.rng, b.rng, "{tag}");
+                    assert_eq!(json(a), json(b), "{tag}");
+                }
+                if workers == 2 {
+                    two_worker_cks = cks;
+                }
+            }
+            // A checkpoint written under 2 workers resumes under 1.
+            let resumed = Trainer::new(&d, cfg.clone())
+                .train_resumable(None, two_worker_cks.first().cloned(), None)
+                .unwrap();
+            assert_eq!(resumed.history, want.history);
+            assert_eq!(json(&resumed.agent), json(&want.agent));
+        }
     }
 
     #[test]

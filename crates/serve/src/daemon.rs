@@ -767,6 +767,11 @@ impl Server {
                 Ok(s) => s,
                 Err(_) => continue,
             };
+            // One response is one write; with Nagle on, a kept-alive
+            // client's delayed ACK would still hold it back for tens of
+            // milliseconds. Best effort: a socket that refuses the option
+            // is merely slower.
+            let _ = stream.set_nodelay(true);
             let server = self.clone();
             std::thread::spawn(move || server.serve_connection(stream));
         }
@@ -796,10 +801,10 @@ impl Server {
                 continue;
             }
             self.lock_jobs().active_requests += 1;
-            let response = self.handle_request(&line);
+            let mut response = self.handle_request(&line);
+            response.push('\n');
             let wrote = writer
                 .write_all(response.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
                 .and_then(|()| writer.flush());
             {
                 let mut g = self.lock_jobs();

@@ -178,6 +178,36 @@ fn daemon_serves_jobs_and_shuts_down_cleanly() {
 }
 
 #[test]
+fn kept_alive_connection_answers_without_delayed_ack_stalls() {
+    let state = tmp("keepalive");
+    let daemon = Daemon::spawn(&state, &["--workers", "1"]);
+    let stream = TcpStream::connect(&daemon.addr).expect("connect mmpd");
+    let mut writer = stream.try_clone().expect("clone stream");
+    let mut reader = BufReader::new(stream);
+    let mut latencies: Vec<Duration> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            writer
+                .write_all(b"{\"op\":\"status\"}\n")
+                .expect("send status");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read status");
+            assert!(line.contains(r#""state":"running""#), "{line}");
+            t.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let p50 = latencies[latencies.len() / 2];
+    assert!(
+        p50 < Duration::from_millis(20),
+        "p50 {p50:?} over one kept-alive connection: {latencies:?}"
+    );
+    drop((writer, reader));
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn sigkill_mid_job_then_restart_finishes_bitwise_identically() {
     let state = tmp("kill");
     let job = r#"{"op":"submit","id":"victim","design":{"spec":[6,1,8,50,90],"seed":5},"episodes":24,"update_every":1,"explorations":8}"#;

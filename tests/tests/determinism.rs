@@ -154,5 +154,28 @@ fn pooled_flow_is_bitwise_deterministic_across_two_runs_and_worker_counts() {
             "macro {i} moved with the worker count"
         );
     }
+    // HPWL and the assignment can hide weight drift that happens not to
+    // flip a decision: the trained agent and its curves must match too.
+    assert_eq!(ra.training, rb.training, "training history drifted");
+    assert_eq!(
+        ra.training, rc.training,
+        "worker count changed the training history"
+    );
+    assert_eq!(agent_bits(&ra), agent_bits(&rb), "agent weights drifted");
+    assert_eq!(
+        agent_bits(&ra),
+        agent_bits(&rc),
+        "worker count changed the agent weights"
+    );
     assert_eq!(pa.counters, pb.counters, "observability counters drifted");
+}
+
+/// Bit patterns of every trainable parameter of the shipped agent.
+fn agent_bits(result: &PlacementResult) -> Vec<u32> {
+    let mut agent = result.agent.clone();
+    let mut bits = Vec::new();
+    agent
+        .net_mut()
+        .visit_params(&mut |p| bits.extend(p.value.as_slice().iter().map(|v| v.to_bits())));
+    bits
 }
