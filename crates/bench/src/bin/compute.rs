@@ -10,18 +10,24 @@
 //! Measures, against the scalar [`reference`](mmp_nn::matmul::reference)
 //! kernels the tiled path is bitwise-verified against:
 //!
-//! * `gemm` — square-GEMM GFLOP/s, tiled vs reference;
-//! * `forward` — `PolicyValueNet::forward_batch` latency at the tiny and
-//!   paper (ζ = 16, 128 channels, 10 ResBlocks) architectures, tiled vs
-//!   reference kernels through an unmodified forward pass;
+//! * `gemm` — GEMM GFLOP/s, tiled vs reference: square shapes plus the
+//!   two layer shapes that dominate the bench preset's network — the 3×3
+//!   conv im2col GEMM (16×144×256) and the batch-1 policy FC
+//!   (1×512×256, `c += a·bᵀ` against the stored weight);
+//! * `forward` — `PolicyValueNet::forward_batch` latency at the tiny
+//!   (ζ = 8 and, batch 1, the bench preset's ζ = 16) and paper (ζ = 16,
+//!   128 channels, 10 ResBlocks) architectures, tiled vs reference
+//!   kernels through an unmodified forward pass;
 //! * `cg` — one preconditioned CG solve on a grid Laplacian;
 //! * `thread_scaling` — the same forward/CG work under 1/2/4 pool
 //!   workers, with the bitwise-identity of every output asserted (the
 //!   pool must buy wall-clock only, never different bits).
 //!
-//! The full run asserts the tiled batched forward at paper scale (batch
-//! 32) is at least 2× the scalar baseline. The snapshot is archived as
-//! `results/BENCH_compute.json`.
+//! Every GEMM and forward row carries `bitwise_identical` (asserted before
+//! it is recorded), and the snapshot records which kernel path ran
+//! (`isa`: `"avx"` or `"portable"`). The full run asserts the tiled
+//! batched forward at paper scale (batch 32) is at least 2× the scalar
+//! baseline. The snapshot is archived as `results/BENCH_compute.json`.
 
 use mmp_analytic::{cg, Triplets};
 use mmp_bench::header;
@@ -71,12 +77,16 @@ fn filled(n: usize, mix: &mut Mix) -> Vec<f32> {
 
 #[derive(Serialize)]
 struct GemmRow {
+    /// `"a_b"` (`c += a·b`) or `"a_bt"` (`c += a·bᵀ`, a linear layer's
+    /// stored weight).
+    op: &'static str,
     m: usize,
     k: usize,
     n: usize,
     reference_gflops: f64,
     tiled_gflops: f64,
     speedup: f64,
+    bitwise_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -89,6 +99,7 @@ struct ForwardRow {
     reference_ms: f64,
     tiled_ms: f64,
     speedup: f64,
+    bitwise_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -111,45 +122,56 @@ struct ScaleRow {
 #[derive(Serialize)]
 struct Snapshot {
     smoke: bool,
+    /// The GEMM kernel path this CPU ran: `"avx"` or `"portable"`.
+    isa: &'static str,
     gemm: Vec<GemmRow>,
     forward: Vec<ForwardRow>,
     cg: CgRow,
     thread_scaling: Vec<ScaleRow>,
 }
 
-/// Times `c += a·b` through both kernels; also cross-checks their bits.
-fn bench_gemm(m: usize, k: usize, n: usize, reps: usize) -> GemmRow {
+/// Times one GEMM shape through both kernels; also cross-checks their
+/// bits. `transposed_b` stores `b` as `n×k` (`c += a·bᵀ`).
+fn bench_gemm(m: usize, k: usize, n: usize, transposed_b: bool, reps: usize) -> GemmRow {
+    let (op, tiled, scalar): (_, matmul::Gemm, matmul::Gemm) = if transposed_b {
+        ("a_bt", matmul::matmul_a_bt, reference::matmul_a_bt)
+    } else {
+        ("a_b", matmul::matmul, reference::matmul)
+    };
     let mut mix = Mix(0x6e6d);
     let a = filled(m * k, &mut mix);
     let b = filled(k * n, &mut mix);
     let mut c_ref = vec![0.0f32; m * n];
     let mut c_tiled = vec![0.0f32; m * n];
-    reference::matmul(&a, &b, &mut c_ref, m, k, n);
-    matmul::matmul(&a, &b, &mut c_tiled, m, k, n);
+    scalar(&a, &b, &mut c_ref, m, k, n);
+    tiled(&a, &b, &mut c_tiled, m, k, n);
+    let bitwise_identical = c_ref
+        .iter()
+        .zip(&c_tiled)
+        .all(|(x, y)| x.to_bits() == y.to_bits());
     assert!(
-        c_ref
-            .iter()
-            .zip(&c_tiled)
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "tiled GEMM diverged from the reference bits at {m}x{k}x{n}"
+        bitwise_identical,
+        "tiled GEMM diverged from the reference bits at {op} {m}x{k}x{n}"
     );
     let flops = 2.0 * (m * k * n) as f64;
     let mut sink = vec![0.0f32; m * n];
     let ref_s = median_s(reps, || {
-        reference::matmul(&a, &b, &mut sink, m, k, n);
+        scalar(&a, &b, &mut sink, m, k, n);
         std::hint::black_box(&sink);
     });
     let tiled_s = median_s(reps, || {
-        matmul::matmul(&a, &b, &mut sink, m, k, n);
+        tiled(&a, &b, &mut sink, m, k, n);
         std::hint::black_box(&sink);
     });
     GemmRow {
+        op,
         m,
         k,
         n,
         reference_gflops: flops / ref_s / 1e9,
         tiled_gflops: flops / tiled_s / 1e9,
         speedup: ref_s / tiled_s,
+        bitwise_identical,
     }
 }
 
@@ -194,8 +216,9 @@ fn bench_forward(arch: &str, cfg: AgentConfig, batch: usize, reps: usize) -> For
     // Warm up both buffer pools and cross-check the kernel-kind bits once.
     let out_ref = forward_once(&net, &states, &mut ref_ctx);
     let out_tiled = forward_once(&net, &states, &mut tiled_ctx);
+    let bitwise_identical = outputs_identical(&out_ref, &out_tiled);
     assert!(
-        outputs_identical(&out_ref, &out_tiled),
+        bitwise_identical,
         "{arch}: kernel kinds must produce identical bits"
     );
     let ref_s = median_s(reps, || {
@@ -213,6 +236,7 @@ fn bench_forward(arch: &str, cfg: AgentConfig, batch: usize, reps: usize) -> For
         reference_ms: ref_s * 1e3,
         tiled_ms: tiled_s * 1e3,
         speedup: ref_s / tiled_s,
+        bitwise_identical,
     }
 }
 
@@ -285,23 +309,37 @@ fn main() {
     }
 
     // --- GEMM throughput ------------------------------------------------
-    let gemm_sizes: &[(usize, usize, usize)] = if smoke {
-        &[(48, 48, 48)]
+    // Square shapes, then the bench preset's two dominant layer shapes:
+    // the 3×3 conv im2col GEMM and the batch-1 policy FC.
+    let gemm_sizes: &[(usize, usize, usize, bool)] = if smoke {
+        &[
+            (48, 48, 48, false),
+            (16, 144, 256, false),
+            (1, 512, 256, true),
+        ]
     } else {
-        &[(64, 64, 64), (128, 128, 128), (256, 256, 256)]
+        &[
+            (64, 64, 64, false),
+            (128, 128, 128, false),
+            (256, 256, 256, false),
+            (16, 144, 256, false),
+            (1, 512, 256, true),
+        ]
     };
-    let gemm_reps = if smoke { 3 } else { 7 };
+    let gemm_reps = if smoke { 3 } else { 15 };
+    let isa = matmul::kernel_isa();
+    println!("GEMM kernel path: {isa}");
     println!(
-        "{:>14} | {:>10} {:>10} {:>8}",
-        "GEMM m×k×n", "ref GF/s", "tiled GF/s", "speedup"
+        "{:>5} {:>14} | {:>10} {:>10} {:>8}",
+        "op", "GEMM m×k×n", "ref GF/s", "tiled GF/s", "speedup"
     );
     let gemm: Vec<GemmRow> = gemm_sizes
         .iter()
-        .map(|&(m, k, n)| {
-            let row = bench_gemm(m, k, n, gemm_reps);
+        .map(|&(m, k, n, transposed_b)| {
+            let row = bench_gemm(m, k, n, transposed_b, gemm_reps);
             println!(
-                "{:>5}x{:>3}x{:>3} | {:>10.2} {:>10.2} {:>7.1}x",
-                row.m, row.k, row.n, row.reference_gflops, row.tiled_gflops, row.speedup
+                "{:>5} {:>5}x{:>3}x{:>3} | {:>10.2} {:>10.2} {:>7.1}x",
+                row.op, row.m, row.k, row.n, row.reference_gflops, row.tiled_gflops, row.speedup
             );
             row
         })
@@ -322,6 +360,14 @@ fn main() {
             if smoke { 3 } else { 5 },
         ));
     }
+    // The bench preset's network at its batch-1 (sampling / MCTS leaf)
+    // shape.
+    forward.push(bench_forward(
+        "tiny_z16",
+        AgentConfig::tiny(16),
+        1,
+        if smoke { 3 } else { 21 },
+    ));
     if !smoke {
         // The acceptance measurement: Table I architecture, batch 32.
         forward.push(bench_forward("paper_z16", AgentConfig::paper(), 32, 3));
@@ -395,6 +441,7 @@ fn main() {
 
     let snapshot = Snapshot {
         smoke,
+        isa,
         gemm,
         forward,
         cg: cg_row,

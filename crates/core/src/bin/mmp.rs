@@ -189,6 +189,9 @@ fn run() -> Result<(), CliError> {
             let in_path = need("in", "place needs --in")?;
             let (design, _) = load(&in_path).map_err(io)?;
             let zeta = get_usize("zeta", 8)?;
+            if zeta == 0 {
+                return Err(CliError::Usage("--zeta must be at least 1".into()));
+            }
             let mut cfg = PlacerConfig::bench(zeta);
             cfg.trainer.episodes = get_usize("episodes", cfg.trainer.episodes)?;
             cfg.mcts.explorations = get_usize("explorations", cfg.mcts.explorations)?;

@@ -37,6 +37,9 @@ pub enum PreprocessError {
     /// The configured compute-pool worker count is unusable (zero, or past
     /// the pool's hard cap). Caught before any stage runs.
     Pool(PoolError),
+    /// The grid resolution ζ is 0: a 0×0 grid has no action space.
+    /// Caught before any stage runs.
+    ZeroZeta,
 }
 
 impl fmt::Display for PreprocessError {
@@ -51,6 +54,7 @@ impl fmt::Display for PreprocessError {
             ),
             PreprocessError::Cluster(e) => write!(f, "{e}"),
             PreprocessError::Pool(e) => write!(f, "compute pool configuration: {e}"),
+            PreprocessError::ZeroZeta => write!(f, "grid resolution zeta must be at least 1"),
         }
     }
 }
@@ -60,7 +64,7 @@ impl Error for PreprocessError {
         match self {
             PreprocessError::Cluster(e) => Some(e),
             PreprocessError::Pool(e) => Some(e),
-            PreprocessError::MacrosExceedRegion { .. } => None,
+            PreprocessError::MacrosExceedRegion { .. } | PreprocessError::ZeroZeta => None,
         }
     }
 }

@@ -295,8 +295,9 @@ impl MacroPlacer {
     ///
     /// A [`PlaceError`] naming the failed stage and its cause — e.g.
     /// [`PreprocessError::MacrosExceedRegion`] when the instance is
-    /// trivially infeasible, or [`SearchError::NoRuns`] when
-    /// `ensemble_runs` is 0.
+    /// trivially infeasible, [`PreprocessError::ZeroZeta`] when the grid
+    /// resolution ζ is 0, or [`SearchError::NoRuns`] when `ensemble_runs`
+    /// is 0.
     pub fn place(&self, design: &Design) -> Result<PlacementResult, PlaceError> {
         let start = budget::now();
         let run_deadline = self.config.budget.total.map(|d| start + d);
@@ -316,6 +317,9 @@ impl MacroPlacer {
         }
         if self.config.ensemble_runs == 0 {
             return Err(PlaceError::Search(SearchError::NoRuns));
+        }
+        if self.config.trainer.zeta == 0 {
+            return Err(PlaceError::Preprocess(PreprocessError::ZeroZeta));
         }
         // The deterministic compute pool every stage shares. Worker count
         // is validated up front so a bad configuration fails before any
@@ -823,6 +827,18 @@ mod tests {
             assert_eq!(a.x.to_bits(), b.x.to_bits(), "cell {i} x drifted");
             assert_eq!(a.y.to_bits(), b.y.to_bits(), "cell {i} y drifted");
         }
+    }
+
+    #[test]
+    fn zero_zeta_is_a_typed_preprocess_error() {
+        let d = SyntheticSpec::small("zeta0", 5, 0, 8, 40, 70, false, 2).generate();
+        let mut cfg = fast_config();
+        cfg.trainer.zeta = 0;
+        cfg.trainer.net.zeta = 0;
+        let err = MacroPlacer::new(cfg).place(&d).unwrap_err();
+        assert_eq!(err, PlaceError::Preprocess(PreprocessError::ZeroZeta));
+        assert_eq!(err.exit_code(), 10);
+        assert!(!err.is_transient());
     }
 
     #[test]

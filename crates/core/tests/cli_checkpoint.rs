@@ -138,3 +138,19 @@ fn bare_checkpoint_dir_flag_is_a_usage_error() {
     );
     std::fs::remove_file(&design).ok();
 }
+
+#[test]
+fn zero_zeta_is_a_usage_error() {
+    let design = tmp("zeta0.bks");
+    generate(&design);
+    let out = place(&design, &|c| {
+        c.args(["--zeta", "0"]);
+    });
+    assert_eq!(out.status.code(), Some(2), "expected usage exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--zeta must be at least 1"),
+        "stderr: {stderr}"
+    );
+    std::fs::remove_file(&design).ok();
+}

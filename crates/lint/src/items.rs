@@ -276,11 +276,17 @@ pub fn parse(path_rel: &str, lexed: &Lexed) -> ParsedFile {
                     }
                     let name = name_tok.text.clone();
                     // Signature runs to the body `{` or a trait-decl `;`.
-                    // Parenthesised default args don't exist and headers
-                    // carry no braces, so a flat scan suffices.
+                    // Headers carry no braces, and the only `;` a header
+                    // can hold sits inside an array type (`&[[f32; 4]]`),
+                    // so tracking bracket depth suffices.
                     let mut j = i + 2;
+                    let mut brackets = 0usize;
                     while let Some(h) = toks.get(j) {
-                        if h.is_punct('{') || h.is_punct(';') {
+                        if h.is_punct('[') {
+                            brackets += 1;
+                        } else if h.is_punct(']') {
+                            brackets = brackets.saturating_sub(1);
+                        } else if h.is_punct('{') || (h.is_punct(';') && brackets == 0) {
                             break;
                         }
                         j += 1;
@@ -586,6 +592,18 @@ mod tests {
         assert!(p.items[0].body.is_none());
         assert!(p.items[1].body.is_some());
         assert_eq!(p.items[1].qual, "mmp_serve::daemon::Sink::write_all");
+    }
+
+    #[test]
+    fn array_types_in_signatures_do_not_end_the_header() {
+        let p = parsed(
+            "fn pack(bp: &mut [[f32; 16]], n: usize) -> [f32; 4] { [0.0; 4] }\n\
+             trait T {\n    fn decl(x: [u8; 2]);\n}\n",
+        );
+        assert_eq!(p.items.len(), 2);
+        assert_eq!(p.items[0].qual, "mmp_serve::daemon::pack");
+        assert!(p.items[0].body.is_some());
+        assert!(p.items[1].body.is_none());
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //! | `panic-path` (R8)  | library crates | panic sites, ranked by call-chain reachability from the flow entrypoints |
 //! | `float-reduction` (R9) | all but pool/bench | no unpinned-order float accumulation outside the pool's fixed-chunk reductions |
 //! | `cast-truncation` (R10) | geom/netlist/legal | no bare lossy `as` casts in index/coordinate math |
+//! | `unsafe-scope` (R11) | all crates | `unsafe`/`is_x86_feature_detected!` only in the SIMD kernel file, each `unsafe` under a `// SAFETY:` comment |
 //! | `suppression`      | all crates | suppression comments parse, justify, and bite |
 //!
-//! R1–R7 are token-local. R8–R10 are semantic: the engine first parses
+//! R1–R7 and R11 are token-local. R8–R10 are semantic: the engine first parses
 //! every file into an item table ([`items`]), builds an approximate
 //! intra-workspace call graph ([`graph`]), and only then scans — which
 //! is how R8 findings carry a shortest call chain from the serving/flow
@@ -64,7 +65,7 @@ use std::path::{Path, PathBuf};
 
 pub use rules::{
     ALLOW_WHY, CAST_TRUNCATION, FLOAT_REDUCTION, FS_ROUTE, HASH_ORDER, PANIC_PATH, PARALLELISM,
-    PARTIAL_CMP, RNG_SOURCE, RULES, SUPPRESSION, WALLCLOCK,
+    PARTIAL_CMP, RNG_SOURCE, RULES, SUPPRESSION, UNSAFE_SCOPE, WALLCLOCK,
 };
 
 /// What the engine enforces where. [`LintConfig::default`] encodes this
@@ -104,6 +105,10 @@ pub struct LintConfig {
     /// index/coordinate arithmetic where a silent wrap corrupts
     /// geometry instead of crashing.
     pub cast_scoped: Vec<String>,
+    /// Files where `unsafe` and `is_x86_feature_detected!` are sanctioned
+    /// (`unsafe-scope` rule): the SIMD GEMM kernel file, whose safe
+    /// wrappers every other crate goes through.
+    pub unsafe_sanctioned: Vec<String>,
     /// Entrypoint suffixes for R8 reachability, matched against
     /// qualified item names (`Server::serve` matches
     /// `mmp_serve::daemon::Server::serve`).
@@ -153,6 +158,7 @@ impl Default for LintConfig {
             ]),
             float_sanctioned: s(&["crates/pool/src", "crates/bench/src"]),
             cast_scoped: s(&["crates/geom/src", "crates/netlist/src", "crates/legal/src"]),
+            unsafe_sanctioned: s(&["crates/nn/src/matmul/avx.rs"]),
             entrypoints: s(&[
                 // `Daemon::serve` is the paper-facing name; `Server` is
                 // the concrete daemon type, and `Server::start` roots
@@ -173,6 +179,11 @@ impl LintConfig {
         self.decision_crates
             .iter()
             .any(|c| path_rel.starts_with(&format!("crates/{c}/src/")))
+    }
+
+    /// `true` when `path_rel` may hold `unsafe` code (R11).
+    pub fn is_unsafe_sanctioned(&self, path_rel: &str) -> bool {
+        self.unsafe_sanctioned.iter().any(|p| path_rel == p)
     }
 
     /// `true` when `path_rel` is a sanctioned wall-clock module.

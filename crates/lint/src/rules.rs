@@ -1,6 +1,6 @@
-//! The project lint rules clippy cannot express (R1–R10).
+//! The project lint rules clippy cannot express (R1–R11).
 //!
-//! R1–R7 work on the token stream of [`crate::lexer`] alone, so string
+//! R1–R7 and R11 work on the token stream of [`crate::lexer`] alone, so string
 //! literals and comments never produce false positives. R8–R10
 //! additionally consult the item table of [`crate::items`] (and, for
 //! R8's call chains, the graph of [`crate::graph`], attached by the
@@ -36,6 +36,9 @@ pub const PANIC_PATH: &str = "panic-path";
 pub const FLOAT_REDUCTION: &str = "float-reduction";
 /// Rule R10: lossy `as` casts in index/coordinate arithmetic.
 pub const CAST_TRUNCATION: &str = "cast-truncation";
+/// Rule R11: `unsafe` and ISA detection only in the SIMD kernel file,
+/// every `unsafe` under a `// SAFETY:` comment.
+pub const UNSAFE_SCOPE: &str = "unsafe-scope";
 /// Meta rule: malformed or unused `mmp-lint:` suppression comments.
 /// Not suppressible — a broken suppression must never silence itself.
 pub const SUPPRESSION: &str = "suppression";
@@ -101,6 +104,13 @@ pub const RULES: &[(&str, &str)] = &[
         "`as` casts to narrower integer types (or f32) in geometry/netlist \
          index arithmetic silently truncate or wrap out-of-range values; \
          use try_from/checked conversions or why-note the proven range",
+    ),
+    (
+        UNSAFE_SCOPE,
+        "unsafe code and is_x86_feature_detected! belong only in the SIMD \
+         kernel file (crates/nn/src/matmul/avx.rs), and every unsafe there \
+         needs a // SAFETY: comment (an unsafe fn: a # Safety doc section) \
+         directly above it stating why it holds",
     ),
     (
         SUPPRESSION,
@@ -313,8 +323,42 @@ pub fn scan(path_rel: &str, lexed: &Lexed, cfg: &LintConfig) -> Vec<RawFinding> 
         }
     }
 
+    scan_unsafe(path_rel, lexed, cfg, &mut out);
     scan_allow_attrs(lexed, cfg, &mut out);
     out
+}
+
+/// R11 — `unsafe` and `is_x86_feature_detected!` outside the sanctioned
+/// kernel file, and any `unsafe` without a safety note (see
+/// [`has_safety_note`]).
+fn scan_unsafe(path_rel: &str, lexed: &Lexed, cfg: &LintConfig, out: &mut Vec<RawFinding>) {
+    let sanctioned = cfg.is_unsafe_sanctioned(path_rel);
+    for (i, t) in lexed.tokens.iter().enumerate() {
+        let detect = t.is_ident("is_x86_feature_detected")
+            && lexed.tokens.get(i + 1).is_some_and(|n| n.is_punct('!'));
+        let message = if !sanctioned && (t.is_ident("unsafe") || detect) {
+            format!(
+                "{} outside the SIMD kernel file: keep unsafe code and ISA \
+                 detection in crates/nn/src/matmul/avx.rs behind safe wrappers",
+                t.text
+            )
+        } else if t.is_ident("unsafe") && !has_safety_note(lexed, t.line) {
+            "unsafe without a `// SAFETY:` comment (or, on an unsafe fn, a \
+             `# Safety` doc section) directly above it: state why every \
+             invariant it relies on holds"
+                .to_owned()
+        } else {
+            continue;
+        };
+        out.push(RawFinding {
+            rule: UNSAFE_SCOPE,
+            line: t.line,
+            col: t.col,
+            kind: t.text.clone(),
+            tok: i,
+            message,
+        });
+    }
 }
 
 /// Runs the semantic rules (R8–R10) over one lexed + item-parsed file.
@@ -650,6 +694,36 @@ fn scan_allow_attrs(lexed: &Lexed, cfg: &LintConfig, out: &mut Vec<RawFinding>) 
             }
         }
         i = k.max(i + 1);
+    }
+}
+
+/// A `// SAFETY:` comment or a `# Safety` doc section on `line`, or in
+/// the run of comment and attribute lines directly above it (so an
+/// `unsafe fn`'s doc may sit above its `#[target_feature]`).
+fn has_safety_note(lexed: &Lexed, line: usize) -> bool {
+    let note = |l: usize| {
+        lexed
+            .comments
+            .iter()
+            .any(|c| c.line == l && (c.text.contains("SAFETY:") || c.text.contains("# Safety")))
+    };
+    let skippable = |l: usize| {
+        lexed.comments.iter().any(|c| c.line == l)
+            || lexed
+                .tokens
+                .iter()
+                .find(|t| t.line == l)
+                .is_some_and(|t| t.is_punct('#'))
+    };
+    let mut l = line;
+    loop {
+        if note(l) {
+            return true;
+        }
+        if l <= 1 || !skippable(l - 1) {
+            return false;
+        }
+        l -= 1;
     }
 }
 

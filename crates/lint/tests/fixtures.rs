@@ -1,10 +1,11 @@
-//! Fixture tests: for every rule R1–R10, one snippet that fires, one
+//! Fixture tests: for every rule R1–R11, one snippet that fires, one
 //! that is clean, and one that is suppressed with a `why:` justification
 //! (plus, for the semantic rules, baseline-grandfathering coverage).
 
 use mmp_lint::{
     baseline, lint_source, Finding, LintConfig, ALLOW_WHY, CAST_TRUNCATION, FLOAT_REDUCTION,
-    FS_ROUTE, HASH_ORDER, PANIC_PATH, PARALLELISM, PARTIAL_CMP, RNG_SOURCE, WALLCLOCK,
+    FS_ROUTE, HASH_ORDER, PANIC_PATH, PARALLELISM, PARTIAL_CMP, RNG_SOURCE, UNSAFE_SCOPE,
+    WALLCLOCK,
 };
 
 const DECISION: &str = "crates/mcts/src/fixture.rs";
@@ -506,6 +507,52 @@ fn cast_truncation_suppression_with_why_is_honoured() {
 }
 
 // --- baseline grandfathering over real findings --------------------------
+
+// --- R11: unsafe-scope ---------------------------------------------------
+
+const KERNEL: &str = "crates/nn/src/matmul/avx.rs";
+
+#[test]
+fn unsafe_scope_fires_outside_the_kernel_file_and_without_safety() {
+    // Anywhere else, `unsafe` and ISA detection fire — SAFETY comment or not.
+    let src = "fn f(p: *const f32) -> f32 {\n    // SAFETY: p is valid\n    unsafe { *p }\n}\n\
+               fn g() -> bool {\n    is_x86_feature_detected!(\"avx\")\n}\n";
+    assert_eq!(
+        unsuppressed("crates/nn/src/matmul.rs", src),
+        vec![(UNSAFE_SCOPE.into(), 3), (UNSAFE_SCOPE.into(), 6)]
+    );
+    // In the kernel file, an `unsafe` needs a SAFETY comment above it.
+    let bare = "fn f(p: *const f32) -> f32 {\n    // reads p\n    unsafe { *p }\n}\n";
+    assert_eq!(unsuppressed(KERNEL, bare), vec![(UNSAFE_SCOPE.into(), 3)]);
+}
+
+#[test]
+fn unsafe_scope_is_clean_for_justified_kernel_code() {
+    let src = "fn f(p: *const f32) -> f32 {\n    // SAFETY: the caller checked p's bounds;\n    // the load is in range.\n    unsafe { *p }\n}\n\
+               fn g() -> bool {\n    is_x86_feature_detected!(\"avx\")\n}\n";
+    assert!(unsuppressed(KERNEL, src).is_empty());
+    // An unsafe fn documents its contract in a `# Safety` section, which
+    // may sit above its attributes.
+    let decl = "/// Reads p.\n///\n/// # Safety\n///\n/// p must be valid.\n#[inline]\nunsafe fn f(p: *const f32) -> f32 {\n    // SAFETY: the caller keeps p valid.\n    unsafe { *p }\n}\n";
+    assert!(unsuppressed(KERNEL, decl).is_empty());
+    // Prose and identifiers that merely contain the word are not code.
+    let prose =
+        "// unsafe in a comment\nfn f() {\n    let s = \"unsafe\";\n    let unsafe_code = 1;\n}\n";
+    assert!(unsuppressed("crates/core/src/fixture.rs", prose).is_empty());
+}
+
+#[test]
+fn unsafe_scope_suppression_with_why_is_honoured() {
+    let src = "fn f(p: *const f32) -> f32 {\n    // mmp-lint: allow(unsafe-scope) why: FFI shim audited separately\n    unsafe { *p }\n}\n";
+    assert!(unsuppressed("crates/core/src/fixture.rs", src).is_empty());
+    assert_eq!(
+        suppressed("crates/core/src/fixture.rs", src),
+        vec![(
+            UNSAFE_SCOPE.into(),
+            "FFI shim audited separately".to_owned()
+        )]
+    );
+}
 
 #[test]
 fn baseline_grandfathers_old_sites_but_not_new_ones() {

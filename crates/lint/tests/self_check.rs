@@ -1,7 +1,8 @@
 //! The workspace must lint clean against its own conventions:
 //!
-//! * R1–R7 (token rules) — every finding fixed or suppressed with a
-//!   `why:` justification, as before.
+//! * R1–R7 and R11 (token rules) — every finding fixed or suppressed
+//!   with a `why:` justification, as before; `unsafe` code exists only
+//!   in the SIMD kernel file, each block under a `// SAFETY:` comment.
 //! * R8–R10 (semantic rules) — zero findings *newer than the committed
 //!   `lint.baseline.json`*: pre-existing sites are grandfathered and
 //!   ratchet down, anything fresh fails. This is the same gate CI runs
@@ -9,7 +10,7 @@
 
 use mmp_lint::{
     baseline, lint_source, lint_workspace, render_text, LintConfig, CAST_TRUNCATION,
-    FLOAT_REDUCTION, PANIC_PATH,
+    FLOAT_REDUCTION, PANIC_PATH, UNSAFE_SCOPE,
 };
 use std::path::Path;
 
@@ -44,6 +45,34 @@ fn token_rules_have_zero_unsuppressed_findings() {
     assert!(
         findings.iter().any(|f| f.suppressed && f.why.is_some()),
         "expected the workspace's justified suppressions to be reported"
+    );
+}
+
+#[test]
+fn unsafe_code_lives_only_in_the_kernel_file_with_safety_comments() {
+    let cfg = LintConfig::default();
+    let findings = lint_workspace(&workspace_root(), &cfg).expect("workspace walk succeeds");
+    let live: Vec<_> = findings
+        .iter()
+        .filter(|f| f.rule == UNSAFE_SCOPE)
+        .cloned()
+        .collect();
+    assert!(
+        live.is_empty(),
+        "unsafe-scope findings in the workspace:\n{}",
+        render_text(&live, true)
+    );
+    // Not vacuous: unsanctioning the kernel file makes its unsafe fire.
+    let strict = LintConfig {
+        unsafe_sanctioned: Vec::new(),
+        ..LintConfig::default()
+    };
+    let findings = lint_workspace(&workspace_root(), &strict).expect("workspace walk succeeds");
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == UNSAFE_SCOPE && f.path == cfg.unsafe_sanctioned[0]),
+        "expected the kernel file to hold unsafe code"
     );
 }
 

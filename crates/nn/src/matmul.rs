@@ -8,29 +8,59 @@
 //! **strictly ascending `kk`**, then adds the finished accumulator to the
 //! caller's `c[i,j]` exactly once. No pairwise trees, no lane-interleaved
 //! partial sums, no blocking over `k` that would flush intermediate totals
-//! into `c`. Because output elements are independent of each other, any
-//! tiling of the `(i, j)` space — including the production 4×8 register
-//! tile, the runtime-sized tiles used by the proptests, and any disjoint
-//! row partition a thread pool might apply — produces **bitwise identical**
-//! results to the scalar [`reference`] kernels. The SIMD speedup comes from
-//! mapping vector lanes across output *columns* (a broadcast-saxpy form),
-//! which keeps each element's sum serial and therefore order-exact.
+//! into `c` — and no fused multiply-add: every product is rounded to f32
+//! before it is added, as in the scalar form, so the kernels use separate
+//! multiply and add instructions (never FMA, never `mul_add`). Because
+//! output elements are independent of each other, any tiling of the
+//! `(i, j)` space — the production 4×16 register tile, the few-row path,
+//! the runtime-sized tiles used by the proptests, and any disjoint row
+//! partition a thread pool might apply — produces **bitwise identical**
+//! results to the scalar [`reference`](mod@reference) kernels, on every ISA. The SIMD
+//! speedup comes from mapping vector lanes across output *columns* (a
+//! broadcast-saxpy form), which keeps each element's sum serial and
+//! therefore order-exact.
 //!
-//! The tiled kernels pack operands into k-major panels first:
-//! `a` into `MR`-row panels (`ap[kk·MR + r]`) and `b` into `NR`-column
-//! panels (`bp[kk·NR + l]`), so the microkernel streams both with unit
-//! stride and holds the full `MR×NR` accumulator tile in registers across
-//! the entire `k` loop.
+//! # Paths
+//!
+//! * **Tiled** (`m ≥ MR`): operands are packed into k-major panels first —
+//!   `a` into `MR`-row panels (`ap[kk][r]`) and `b` into `NR`-column
+//!   panels (`bp[kk][l]`) — so the microkernel streams both with unit
+//!   stride and holds the whole `MR×NR` accumulator tile in registers
+//!   across the `k` loop. The tile is 4×16: with AVX that is eight
+//!   independent 256-bit accumulators (4 rows × 2 vectors), enough to keep
+//!   the adds from waiting on each other. Edge tiles run the same kernel
+//!   and add back only their live rows and columns.
+//! * **Few rows** (`m < MR`, e.g. a batch-1 linear layer): nothing is
+//!   packed; each output row streams `b` directly with independent
+//!   per-column accumulators. A transposed `b` (a `Linear` weight) is
+//!   transposed 8×8 at a time in registers, never in memory.
+//! * Problems below `SMALL_FLOPS` multiply-adds go straight to
+//!   [`reference`](mod@reference).
+//!
+//! # ISA dispatch
+//!
+//! Each GEMM call checks once whether the CPU has AVX (a cached feature
+//! bit, see [`kernel_isa`]). With AVX the kernels of the `avx` submodule
+//! run — the only `unsafe` code in the workspace; without it (and on
+//! every non-x86 target) the portable kernels below do, written so the
+//! compiler vectorizes them for the baseline ISA. Both share the packing
+//! code and one thread-local scratch, and both are proptest-checked
+//! against [`reference`](mod@reference) bit for bit.
 
 use std::cell::RefCell;
 
-/// Rows per register tile of the production microkernel.
+#[cfg(target_arch = "x86_64")]
+mod avx;
+
+/// Rows per register tile.
 const MR: usize = 4;
-/// Columns (SIMD lanes) per register tile of the production microkernel.
-const NR: usize = 8;
+/// Columns per register tile: two 8-lane AVX vectors.
+const NR: usize = 16;
+/// Columns per accumulator block of the portable few-row kernel.
+const LANES: usize = 8;
 
 /// Problems with fewer multiply-adds than this go straight to the scalar
-/// [`reference`] kernels: packing overhead dominates below it, and the
+/// [`reference`](mod@reference) kernels: packing overhead dominates below it, and the
 /// summation-order contract makes the dispatch invisible bitwise.
 const SMALL_FLOPS: usize = 1024;
 
@@ -114,7 +144,7 @@ pub type Gemm = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
 
 /// How the lhs operand is laid out in memory, telling the packer where
 /// `a[i, kk]` lives.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum LhsLayout {
     /// `a[i, kk] = a[i·k + kk]` (`m×k` row-major).
     RowMajor,
@@ -124,7 +154,7 @@ enum LhsLayout {
 
 /// How the rhs operand is laid out in memory, telling the packer where
 /// `b[kk, j]` lives.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 enum RhsLayout {
     /// `b[kk, j] = b[kk·n + j]` (`k×n` row-major).
     RowMajor,
@@ -132,189 +162,248 @@ enum RhsLayout {
     Transposed,
 }
 
+/// The instruction set the kernels run on, chosen once per GEMM call.
+#[derive(Clone, Copy, Debug)]
+enum Isa {
+    /// 256-bit AVX lanes (the token proves the CPU has them).
+    #[cfg(target_arch = "x86_64")]
+    Avx(avx::Avx),
+    /// The compiler-vectorized kernels of this file.
+    Portable,
+}
+
+impl Isa {
+    /// AVX when the CPU has it, the portable kernels otherwise.
+    fn detect() -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(token) = avx::Avx::detect() {
+            return Isa::Avx(token);
+        }
+        Isa::Portable
+    }
+
+    /// The `MR×NR` accumulator tile over the packed panels.
+    fn tile(self, ap: &[[f32; MR]], bp: &[[f32; NR]]) -> [[f32; NR]; MR] {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx(token) => token.tile(ap, bp),
+            Isa::Portable => tile_portable(ap, bp),
+        }
+    }
+
+    /// One output row against a row-major `b`: `c[j] += Σ a[kk·a_stride]·b[kk·n + j]`.
+    fn row_b(self, a: &[f32], a_stride: usize, b: &[f32], (k, n): (usize, usize), c: &mut [f32]) {
+        let done = match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx(token) => token.row_b(a, a_stride, b, (k, n), c),
+            Isa::Portable => 0,
+        };
+        row_b_portable(a, a_stride, b, n, c, done);
+    }
+
+    /// One output row against a transposed `b`: `c[j] += Σ a[kk·a_stride]·b[j·k + kk]`.
+    fn row_bt(self, a: &[f32], a_stride: usize, b: &[f32], (k, n): (usize, usize), c: &mut [f32]) {
+        let done = match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx(token) => token.row_bt(a, a_stride, b, (k, n), c),
+            Isa::Portable => 0,
+        };
+        row_bt_portable(a, a_stride, b, k, c, done);
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx(_) => "avx",
+            Isa::Portable => "portable",
+        }
+    }
+}
+
+/// The kernel path GEMM calls take on this CPU: `"avx"` or `"portable"`.
+pub fn kernel_isa() -> &'static str {
+    Isa::detect().name()
+}
+
+/// Portable register tile: the same per-element ascending-`k` sums as the
+/// AVX tile, left to the compiler's vectorizer.
+fn tile_portable(ap: &[[f32; MR]], bp: &[[f32; NR]]) -> [[f32; NR]; MR] {
+    let mut acc = [[0.0f32; NR]; MR];
+    for (av, bv) in ap.iter().zip(bp) {
+        for (acc_r, a) in acc.iter_mut().zip(av) {
+            for (x, b) in acc_r.iter_mut().zip(bv) {
+                *x += a * b;
+            }
+        }
+    }
+    acc
+}
+
+/// Columns `j_start..` of one few-row output row against a row-major `b`
+/// (`k×n`), `LANES` independent column accumulators at a time.
+fn row_b_portable(a: &[f32], a_stride: usize, b: &[f32], n: usize, c: &mut [f32], j_start: usize) {
+    let Some(tail) = c.get_mut(j_start..) else {
+        return;
+    };
+    for (blk, c_blk) in tail.chunks_mut(LANES).enumerate() {
+        let j0 = j_start + blk * LANES;
+        let mut acc = [0.0f32; LANES];
+        for (av, b_row) in a.iter().step_by(a_stride).zip(b.chunks_exact(n)) {
+            for (x, bv) in acc.iter_mut().zip(b_row.iter().skip(j0)) {
+                *x += av * bv;
+            }
+        }
+        for (cv, x) in c_blk.iter_mut().zip(&acc) {
+            *cv += x;
+        }
+    }
+}
+
+/// Columns `j_start..` of one few-row output row against a transposed `b`
+/// (`n×k`): one serial dot product per column.
+fn row_bt_portable(a: &[f32], a_stride: usize, b: &[f32], k: usize, c: &mut [f32], j_start: usize) {
+    let cols = b.chunks_exact(k).skip(j_start);
+    for (cv, col) in c.iter_mut().skip(j_start).zip(cols) {
+        let mut acc = 0.0f32;
+        for (av, bv) in a.iter().step_by(a_stride).zip(col) {
+            acc += av * bv;
+        }
+        *cv += acc;
+    }
+}
+
+/// Per-thread packed panels, reused across calls so the hot inference
+/// path performs no heap allocation after warm-up. Padded lanes of a
+/// partial tile are never added to `c`, so stale contents cannot leak
+/// into results.
 struct PackScratch {
-    a: Vec<f32>,
-    b: Vec<f32>,
+    a: Vec<[f32; MR]>,
+    b: Vec<[f32; NR]>,
 }
 
 thread_local! {
-    /// Per-thread packing panels, reused across calls so the hot inference
-    /// path performs no heap allocation after warm-up. Padded lanes of a
-    /// partial tile are never read, so stale contents cannot leak into
-    /// results.
     static SCRATCH: RefCell<PackScratch> = const {
         RefCell::new(PackScratch { a: Vec::new(), b: Vec::new() })
     };
 }
 
-/// Packs the `b` panel for column block `j0..j0+nr` into `bp` as
-/// `bp[kk·NR + l] = b[kk, j0+l]`; lanes `l >= nr` are left untouched (and
-/// never read).
-fn pack_rhs(
-    b: &[f32],
-    bp: &mut [f32],
-    layout: RhsLayout,
-    k: usize,
-    n: usize,
-    j0: usize,
-    nr: usize,
-) {
+/// Packs the `b` panel for the columns `j0..` (at most `NR`) into `bp` as
+/// `bp[kk][l] = b[kk, j0+l]`; lanes past the last column are left
+/// untouched.
+fn pack_rhs(b: &[f32], bp: &mut [[f32; NR]], layout: RhsLayout, k: usize, n: usize, j0: usize) {
     match layout {
         RhsLayout::RowMajor => {
-            for kk in 0..k {
-                let src = &b[kk * n + j0..kk * n + j0 + nr];
-                bp[kk * NR..kk * NR + nr].copy_from_slice(src);
+            for (lanes, src) in bp.iter_mut().zip(b.chunks_exact(n)) {
+                for (lane, &v) in lanes.iter_mut().zip(src.iter().skip(j0)) {
+                    *lane = v;
+                }
             }
         }
         RhsLayout::Transposed => {
-            for (l, col) in b.chunks_exact(k).skip(j0).take(nr).enumerate() {
-                for (kk, &v) in col.iter().enumerate() {
-                    bp[kk * NR + l] = v;
+            for (l, col) in b.chunks_exact(k).skip(j0).take(NR).enumerate() {
+                for (lanes, &v) in bp.iter_mut().zip(col) {
+                    lanes[l] = v;
                 }
             }
         }
     }
 }
 
-/// Packs the `a` panel for row block `i0..i0+mr` into `ap` as
-/// `ap[kk·MR + r] = a[i0+r, kk]`; rows `r >= mr` are left untouched (and
-/// never read).
+/// Packs the `a` panel for the rows `i0..i0+mr` into `ap` as
+/// `ap[kk][r] = a[i0+r, kk]`; rows `r >= mr` are left untouched.
 fn pack_lhs(
     a: &[f32],
-    ap: &mut [f32],
+    ap: &mut [[f32; MR]],
     layout: LhsLayout,
-    m: usize,
-    k: usize,
+    (m, k): (usize, usize),
     i0: usize,
     mr: usize,
 ) {
     match layout {
         LhsLayout::RowMajor => {
             for (r, row) in a.chunks_exact(k).skip(i0).take(mr).enumerate() {
-                for (kk, &v) in row.iter().enumerate() {
-                    ap[kk * MR + r] = v;
+                for (lanes, &v) in ap.iter_mut().zip(row) {
+                    lanes[r] = v;
                 }
             }
         }
         LhsLayout::Transposed => {
-            for kk in 0..k {
-                let src = &a[kk * m + i0..kk * m + i0 + mr];
-                ap[kk * MR..kk * MR + mr].copy_from_slice(src);
+            for (lanes, src) in ap.iter_mut().zip(a.chunks_exact(m)) {
+                lanes[..mr].copy_from_slice(&src[i0..i0 + mr]);
             }
         }
     }
 }
 
-/// Full-tile microkernel: `MR×NR` accumulators held in registers across the
-/// whole `k` loop, vector lanes across the `NR` output columns. Each
-/// accumulator is a plain ascending-`k` serial sum, so the result is
-/// bitwise identical to the scalar reference.
-#[inline]
-fn microkernel_full(
-    ap: &[f32],
-    bp: &[f32],
-    k: usize,
+/// The GEMM every entry point lands on once small problems are routed to
+/// [`reference`](mod@reference): `c += a·b` with `a`, `b` read through their layouts.
+/// Requires `m, k, n ≥ 1` and slices of the documented lengths.
+fn gemm(
+    a: &[f32],
+    b: &[f32],
     c: &mut [f32],
-    i0: usize,
-    j0: usize,
-    n: usize,
+    (m, k, n): (usize, usize, usize),
+    (lhs, rhs): (LhsLayout, RhsLayout),
+    isa: Isa,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let av = &ap[kk * MR..kk * MR + MR];
-        let bv = &bp[kk * NR..kk * NR + NR];
-        for r in 0..MR {
-            let ar = av[r];
-            for (l, b_lane) in bv.iter().enumerate() {
-                acc[r][l] += ar * b_lane;
-            }
-        }
-    }
-    for (r, acc_row) in acc.iter().enumerate() {
-        let c_row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR];
-        for (cv, av) in c_row.iter_mut().zip(acc_row) {
-            *cv += av;
-        }
+    if m < MR {
+        gemm_few_rows(a, b, c, (m, k, n), (lhs, rhs), isa);
+    } else {
+        gemm_tiled(a, b, c, (m, k, n), (lhs, rhs), isa);
     }
 }
 
-/// Partial-tile microkernel for the `m % MR` / `n % NR` edges: same
-/// per-element ascending-`k` accumulation, only over the live lanes.
-#[allow(clippy::too_many_arguments)] // a microkernel takes panels + tile coordinates, nothing to group
-fn microkernel_edge(
-    ap: &[f32],
-    bp: &[f32],
-    k: usize,
+/// Few-row path: each output row streams `b` in place, no packing.
+fn gemm_few_rows(
+    a: &[f32],
+    b: &[f32],
     c: &mut [f32],
-    i0: usize,
-    j0: usize,
-    n: usize,
-    mr: usize,
-    nr: usize,
+    (m, k, n): (usize, usize, usize),
+    (lhs, rhs): (LhsLayout, RhsLayout),
+    isa: Isa,
 ) {
-    for r in 0..mr {
-        for l in 0..nr {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += ap[kk * MR + r] * bp[kk * NR + l];
-            }
-            c[(i0 + r) * n + j0 + l] += acc;
+    for (i, c_row) in c.chunks_exact_mut(n).enumerate() {
+        // Row `i` of `a` as a strided view: `a[i, kk] = a_row[kk·stride]`.
+        let (a_row, a_stride) = match lhs {
+            LhsLayout::RowMajor => (a.get(i * k..).unwrap_or_default(), 1),
+            LhsLayout::Transposed => (a.get(i..).unwrap_or_default(), m),
+        };
+        match rhs {
+            RhsLayout::RowMajor => isa.row_b(a_row, a_stride, b, (k, n), c_row),
+            RhsLayout::Transposed => isa.row_bt(a_row, a_stride, b, (k, n), c_row),
         }
     }
 }
 
-/// Shared tiled driver: packs `b` once into k-major `NR`-wide panels, then
-/// streams `MR`-row packed panels of `a` through the register microkernel.
-#[allow(clippy::too_many_arguments)] // the three public GEMM signatures plus two layout selectors
+/// Tiled path: packs `b` once into k-major `NR`-wide panels, then streams
+/// `MR`-row packed panels of `a` through the register tile and adds each
+/// tile's live part to `c`.
 fn gemm_tiled(
     a: &[f32],
     b: &[f32],
     c: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    lhs: LhsLayout,
-    rhs: RhsLayout,
+    (m, k, n): (usize, usize, usize),
+    (lhs, rhs): (LhsLayout, RhsLayout),
+    isa: Isa,
 ) {
     SCRATCH.with(|s| {
         let mut s = s.borrow_mut();
-        let n_blocks = n.div_ceil(NR);
-        let b_len = n_blocks * k * NR;
-        if s.b.len() < b_len {
-            s.b.resize(b_len, 0.0);
-        }
-        if s.a.len() < k * MR {
-            s.a.resize(k * MR, 0.0);
-        }
         let PackScratch { a: ap, b: bp } = &mut *s;
-        for jb in 0..n_blocks {
-            let j0 = jb * NR;
-            let nr = NR.min(n - j0);
-            pack_rhs(
-                b,
-                &mut bp[jb * k * NR..(jb + 1) * k * NR],
-                rhs,
-                k,
-                n,
-                j0,
-                nr,
-            );
+        ap.resize(k, [0.0; MR]);
+        bp.resize(n.div_ceil(NR) * k, [0.0; NR]);
+        for (jb, panel) in bp.chunks_exact_mut(k).enumerate() {
+            pack_rhs(b, panel, rhs, k, n, jb * NR);
         }
-        let mut i0 = 0;
-        while i0 < m {
-            let mr = MR.min(m - i0);
-            pack_lhs(a, ap, lhs, m, k, i0, mr);
-            for jb in 0..n_blocks {
-                let j0 = jb * NR;
-                let nr = NR.min(n - j0);
-                let panel = &bp[jb * k * NR..(jb + 1) * k * NR];
-                if mr == MR && nr == NR {
-                    microkernel_full(ap, panel, k, c, i0, j0, n);
-                } else {
-                    microkernel_edge(ap, panel, k, c, i0, j0, n, mr, nr);
+        for (ib, c_rows) in c.chunks_mut(MR * n).enumerate() {
+            pack_lhs(a, ap, lhs, (m, k), ib * MR, c_rows.len() / n);
+            for (jb, panel) in bp.chunks_exact(k).enumerate() {
+                let tile = isa.tile(ap, panel);
+                for (c_row, t_row) in c_rows.chunks_exact_mut(n).zip(&tile) {
+                    for (cv, t) in c_row.iter_mut().skip(jb * NR).zip(t_row) {
+                        *cv += t;
+                    }
                 }
             }
-            i0 += mr;
         }
     });
 }
@@ -322,9 +411,10 @@ fn gemm_tiled(
 /// `c += a · b` where `a` is `m×k`, `b` is `k×n`, `c` is `m×n`, all
 /// row-major.
 ///
-/// Packed 4×8 register-tiled kernel; bitwise identical to
-/// [`reference::matmul`] (see the module docs for the summation-order
-/// contract). Small problems dispatch to the reference kernel directly.
+/// Packed 4×16 register-tiled kernel (few-row path below 4 rows);
+/// bitwise identical to [`reference::matmul`] (see the module docs for
+/// the summation-order contract). Small problems dispatch to the
+/// reference kernel directly.
 ///
 /// # Panics
 ///
@@ -337,14 +427,15 @@ pub fn matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize)
         reference::matmul(a, b, c, m, k, n);
         return;
     }
-    gemm_tiled(a, b, c, m, k, n, LhsLayout::RowMajor, RhsLayout::RowMajor);
+    let layout = (LhsLayout::RowMajor, RhsLayout::RowMajor);
+    gemm(a, b, c, (m, k, n), layout, Isa::detect());
 }
 
 /// `c += aᵀ · b` where `a` is `k×m` (transposed use), `b` is `k×n`,
 /// `c` is `m×n`.
 ///
-/// Same packed kernel as [`matmul`] — only the panel packing differs —
-/// and bitwise identical to [`reference::matmul_at_b`].
+/// Same kernels as [`matmul`] — only the `a` access differs — and
+/// bitwise identical to [`reference::matmul_at_b`].
 ///
 /// # Panics
 ///
@@ -357,14 +448,16 @@ pub fn matmul_at_b(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
         reference::matmul_at_b(a, b, c, m, k, n);
         return;
     }
-    gemm_tiled(a, b, c, m, k, n, LhsLayout::Transposed, RhsLayout::RowMajor);
+    let layout = (LhsLayout::Transposed, RhsLayout::RowMajor);
+    gemm(a, b, c, (m, k, n), layout, Isa::detect());
 }
 
 /// `c += a · bᵀ` where `a` is `m×k`, `b` is `n×k`, `c` is `m×n`.
 ///
 /// Packing `b`'s rows into k-major panels turns the per-output dot products
-/// of the scalar form into the same broadcast-saxpy microkernel as
-/// [`matmul`]; bitwise identical to [`reference::matmul_a_bt`].
+/// of the scalar form into the same broadcast-saxpy tile as [`matmul`];
+/// below 4 rows (a batch-1 `Linear`) `b` is read in place instead.
+/// Bitwise identical to [`reference::matmul_a_bt`].
 ///
 /// # Panics
 ///
@@ -377,7 +470,8 @@ pub fn matmul_a_bt(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: u
         reference::matmul_a_bt(a, b, c, m, k, n);
         return;
     }
-    gemm_tiled(a, b, c, m, k, n, LhsLayout::RowMajor, RhsLayout::Transposed);
+    let layout = (LhsLayout::RowMajor, RhsLayout::Transposed);
+    gemm(a, b, c, (m, k, n), layout, Isa::detect());
 }
 
 #[cfg(test)]
@@ -415,7 +509,7 @@ mod tests {
     /// Runtime-tiled kernel with arbitrary `(mr, nr)` tile sizes and the
     /// same per-element ascending-k accumulation — used to prove the
     /// summation-order contract holds at *any* lane count, not just the
-    /// production 4×8 tile.
+    /// production 4×16 tile.
     #[allow(clippy::too_many_arguments)] // the GEMM signature plus the two tile sizes under test
     fn gemm_any_tile(
         a: &[f32],
@@ -510,6 +604,155 @@ mod tests {
         }
     }
 
+    /// The kernel paths under test: the one [`Isa::detect`] dispatches to
+    /// and the portable kernels called directly (the two coincide on a
+    /// CPU without AVX).
+    fn isas() -> [Isa; 2] {
+        [Isa::detect(), Isa::Portable]
+    }
+
+    /// Bit equality, except that any two NaNs match: IEEE 754 leaves the
+    /// payload of a NaN-producing operation to the implementation, and
+    /// the compiler may commute the operands of the scalar reference's
+    /// adds. Every other result, signed zeros included, must match bit
+    /// for bit.
+    fn same_bits(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// Ordinary values with ±0.0, subnormals, ±∞ and NaN mixed in.
+    fn special_data(seed: u64, len: usize) -> Vec<f32> {
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            1.0e-40,
+            -3.0e-39,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            1.0e30,
+        ];
+        let pick = lcg_data(seed ^ 0x5eed, len);
+        lcg_data(seed, len)
+            .into_iter()
+            .zip(pick)
+            .enumerate()
+            .map(|(i, (v, p))| {
+                if p > 0.3 {
+                    SPECIAL[i % SPECIAL.len()]
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
+
+    /// `(a, b)` in all three layouts of one logical product `a·b` (`a` is
+    /// `m×k`, `b` is `k×n`): row-major, `a` stored transposed, `b` stored
+    /// transposed.
+    fn layouts(
+        a: &[f32],
+        b: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> [(Vec<f32>, Vec<f32>, LhsLayout, RhsLayout); 3] {
+        let mut at = vec![0.0; k * m];
+        for i in 0..m {
+            for kk in 0..k {
+                at[kk * m + i] = a[i * k + kk];
+            }
+        }
+        let mut bt = vec![0.0; n * k];
+        for kk in 0..k {
+            for j in 0..n {
+                bt[j * k + kk] = b[kk * n + j];
+            }
+        }
+        [
+            (
+                a.to_vec(),
+                b.to_vec(),
+                LhsLayout::RowMajor,
+                RhsLayout::RowMajor,
+            ),
+            (at, b.to_vec(), LhsLayout::Transposed, RhsLayout::RowMajor),
+            (a.to_vec(), bt, LhsLayout::RowMajor, RhsLayout::Transposed),
+        ]
+    }
+
+    /// Runs every layout through every ISA path (bypassing the
+    /// small-problem dispatch) and through the matching reference kernel;
+    /// returns the first mismatch.
+    fn isa_mismatch(
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) -> Option<String> {
+        for (la, lb, lhs, rhs) in layouts(a, b, m, k, n) {
+            let mut want = c0.to_vec();
+            let reference: Gemm = match (lhs, rhs) {
+                (LhsLayout::RowMajor, RhsLayout::RowMajor) => reference::matmul,
+                (LhsLayout::Transposed, _) => reference::matmul_at_b,
+                (_, RhsLayout::Transposed) => reference::matmul_a_bt,
+            };
+            reference(&la, &lb, &mut want, m, k, n);
+            for isa in isas() {
+                let mut got = c0.to_vec();
+                gemm(&la, &lb, &mut got, (m, k, n), (lhs, rhs), isa);
+                if let Some(e) = (0..m * n).find(|&e| !same_bits(got[e], want[e])) {
+                    return Some(format!(
+                        "{isa:?} {lhs:?}/{rhs:?} {m}x{k}x{n} element {e}: {} vs reference {}",
+                        got[e], want[e]
+                    ));
+                }
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn layer_shapes_match_reference_bitwise_on_both_isa_paths() {
+        // The conv im2col GEMM and the batch-1 policy FC of the bench
+        // preset, a two-filter head conv, and a batch-3 FC.
+        for (m, k, n) in [(16, 144, 256), (1, 512, 256), (2, 16, 256), (3, 37, 41)] {
+            let a = lcg_data(11, m * k);
+            let b = lcg_data(12, k * n);
+            let c0 = lcg_data(13, m * n);
+            assert_eq!(isa_mismatch(&a, &b, &c0, m, k, n), None);
+        }
+    }
+
+    #[test]
+    fn edge_shapes_match_reference_bitwise_on_both_isa_paths() {
+        // Every few-row count, k = 1 and the 8-wide transpose boundary,
+        // and every column edge of the 16- and 8-lane kernels.
+        for m in 1..=5 {
+            for k in [1, 7, 8, 9, 17] {
+                for n in [1, 7, 8, 9, 15, 16, 17, 24, 33] {
+                    for (seed, data) in [
+                        (1, lcg_data as fn(u64, usize) -> Vec<f32>),
+                        (2, special_data),
+                    ] {
+                        let a = data(seed, m * k);
+                        let b = data(seed + 10, k * n);
+                        let c0 = data(seed + 20, m * n);
+                        assert_eq!(isa_mismatch(&a, &b, &c0, m, k, n), None);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatch_names_the_running_isa() {
+        assert_eq!(kernel_isa(), Isa::detect().name());
+        assert!(["avx", "portable"].contains(&kernel_isa()));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -562,8 +805,27 @@ mod tests {
             }
         }
 
+        /// Both ISA paths, called directly, equal the reference bit for
+        /// bit in all three layouts: few-row (`m < 4`) and tiled shapes
+        /// with row and column edges (`m % 4`, `n % 16`, `n % 8` ≠ 0),
+        /// `k = 1`, a non-zero `c`, and operands holding ±0.0,
+        /// subnormals, ±∞ and NaN.
+        #[test]
+        fn both_isa_paths_match_reference_bitwise(
+            m in 1usize..14, k in 1usize..40, n in 1usize..50,
+            special in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            let data = if special == 1 { special_data } else { lcg_data };
+            let a = data(seed, m * k);
+            let b = data(seed ^ 0x9e3779b97f4a7c15, k * n);
+            let c0 = data(seed ^ 0xdeadbeef, m * n);
+            let mismatch = isa_mismatch(&a, &b, &c0, m, k, n);
+            prop_assert!(mismatch.is_none(), "{}", mismatch.unwrap_or_default());
+        }
+
         /// Any lane count / tile size yields the same bits: the contract is
-        /// a property of the per-element summation order, not of the 4×8
+        /// a property of the per-element summation order, not of the 4×16
         /// production tile.
         #[test]
         fn any_tile_size_is_bitwise_identical(

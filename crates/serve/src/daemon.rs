@@ -459,6 +459,11 @@ impl Server {
                 });
             }
         }
+        if req.zeta.unwrap_or(self.inner.config.defaults.zeta) == 0 {
+            return Err(ServeError::BadRequest {
+                detail: "zeta must be at least 1".to_owned(),
+            });
+        }
         let design = req.design.as_ref().ok_or_else(|| ServeError::BadRequest {
             detail: "job has no design".to_owned(),
         })?;

@@ -178,6 +178,36 @@ fn daemon_serves_jobs_and_shuts_down_cleanly() {
 }
 
 #[test]
+fn zero_zeta_is_rejected_at_admission_and_the_daemon_keeps_serving() {
+    let state = tmp("zeta0");
+    // One worker: a job that took the worker down would hang every
+    // later job.
+    let daemon = Daemon::spawn(&state, &["--workers", "1"]);
+    let line = daemon
+        .request(r#"{"op":"place","id":"z0","design":{"spec":[5,0,8,40,70],"seed":1},"zeta":0}"#);
+    let v = serde_json::parse_value(&line).expect("rejection parses");
+    assert_eq!(map_get(&v, "ok"), Some(&Value::Bool(false)), "{line}");
+    assert!(
+        line.contains("bad-request") && line.contains("zeta"),
+        "{line}"
+    );
+
+    let line = daemon.request(
+        r#"{"op":"place","id":"z1","design":{"spec":[5,0,8,40,70],"seed":1},"update_every":2}"#,
+    );
+    let v = serde_json::parse_value(&line).expect("place response parses");
+    assert_eq!(
+        map_get(&v, "state"),
+        Some(&Value::Str("done".into())),
+        "{line}"
+    );
+    let line = daemon.request(r#"{"op":"status"}"#);
+    assert!(line.contains(r#""in_flight":0"#), "{line}");
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+#[test]
 fn kept_alive_connection_answers_without_delayed_ack_stalls() {
     let state = tmp("keepalive");
     let daemon = Daemon::spawn(&state, &["--workers", "1"]);
